@@ -28,35 +28,8 @@ open Ninja_experiments
    misreport) what the user actually waits. *)
 let wall () = Int64.to_float (Mclock.now ()) /. 1e9
 
-(* Machine-readable companion to the printed tables: per-entry wall-clock,
-   CPU and simulated seconds, so perf regressions across PRs can be
-   compared without scraping stdout. *)
-let bench_json_path = "BENCH_10.json"
-
-let write_bench_json ctx ~total_wall ~total_cpu entries =
-  let oc = open_out bench_json_path in
-  Printf.fprintf oc "{\n  \"pr\": 10,\n  \"seed\": %Ld,\n  \"jobs\": %d,\n  \"mode\": %S,\n"
-    ctx.Ninja_engine.Run_ctx.seed
-    (Ninja_engine.Run_ctx.jobs ctx)
-    (match ctx.Ninja_engine.Run_ctx.mode with
-    | Ninja_engine.Run_ctx.Quick -> "quick"
-    | Ninja_engine.Run_ctx.Full -> "full");
-  Printf.fprintf oc "  \"total_wall_s\": %.3f,\n  \"total_cpu_s\": %.3f,\n  \"entries\": [\n"
-    total_wall total_cpu;
-  List.iteri
-    (fun i (name, wall_s, cpu_s, sim_s) ->
-      Printf.fprintf oc
-        "    {\"name\": %S, \"wall_s\": %.3f, \"cpu_s\": %.3f, \"sim_s\": %.3f}%s\n" name
-        wall_s cpu_s sim_s
-        (if i = List.length entries - 1 then "" else ","))
-    entries;
-  Printf.fprintf oc "  ]\n}\n";
-  close_out oc;
-  Printf.printf "wrote %s\n%!" bench_json_path
-
 let run_experiments ctx names =
   let w0 = wall () and c0 = Sys.time () in
-  let results = ref [] in
   List.iter
     (fun name ->
       match Registry.find name with
@@ -79,14 +52,12 @@ let run_experiments ctx names =
         List.iter Ninja_metrics.Table.print (Registry.run_entry ectx e);
         let wall_s = wall () -. w and cpu_s = Sys.time () -. c in
         Printf.printf "(generated in %.1fs wall, %.1fs CPU, %.1fs simulated)\n\n%!" wall_s
-          cpu_s !sim_s;
-        results := (e.Registry.name, wall_s, cpu_s, !sim_s) :: !results)
+          cpu_s !sim_s)
     names;
   let total_wall = wall () -. w0 and total_cpu = Sys.time () -. c0 in
   Printf.printf "== total: %.1fs wall, %.1fs CPU (%d job%s) ==\n%!" total_wall total_cpu
     (Ninja_engine.Run_ctx.jobs ctx)
-    (if Ninja_engine.Run_ctx.jobs ctx = 1 then "" else "s");
-  write_bench_json ctx ~total_wall ~total_cpu (List.rev !results)
+    (if Ninja_engine.Run_ctx.jobs ctx = 1 then "" else "s")
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel micro-benchmarks: one Test per reproduced table/figure (a

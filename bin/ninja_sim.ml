@@ -99,6 +99,90 @@ let print_tables ~csv_dir name tables =
         Printf.printf "wrote %s\n%!" path)
       tables
 
+let with_pool jobs k =
+  if jobs > 1 then Ninja_engine.Pool.with_pool ~size:jobs (fun p -> k (Some p)) else k None
+
+(* The --trace/--metrics/--spans outputs that [run] and [serve] share. *)
+
+type sink_files = { trace : string option; metrics : string option; spans : string option }
+
+let sink_files ~metrics_doc ~spans_doc =
+  let file name doc = Arg.(value & opt (some string) None & info [ name ] ~docv:"FILE" ~doc) in
+  Term.(
+    const (fun trace metrics spans -> { trace; metrics; spans })
+    $ file "trace"
+        "Write a timeline of every probe-bus event (fences, hotplug, migrations, faults, \
+         spans, ...) to $(docv): one block per simulation, in the same order at any \
+         --jobs value."
+    $ file "metrics" metrics_doc $ file "spans" spans_doc)
+
+(* What one simulation wrote to its sinks. *)
+type captured = { trace_chunk : string; metrics_chunk : string; span_fragments : string list }
+
+(* A chunk sink appending to [buf], newline-terminated. Pooled
+   simulations each get private buffers; the lock only guards a future
+   in-simulation fan-out. *)
+let locked_sink buf =
+  let m = Mutex.create () in
+  fun chunk ->
+    Mutex.protect m (fun () ->
+        Buffer.add_string buf chunk;
+        if chunk = "" || chunk.[String.length chunk - 1] <> '\n' then Buffer.add_char buf '\n')
+
+(* Runs [f] with [ctx]'s sinks pointed at private buffers, one per armed
+   output file, and returns what it wrote next to its result. *)
+let capture files ctx f =
+  let tbuf = Buffer.create 256 and mbuf = Buffer.create 256 in
+  let smutex = Mutex.create () in
+  let sfrags = ref [] in
+  let ctx =
+    Ninja_engine.Run_ctx.with_sinks
+      ?trace:(Option.map (fun _ -> locked_sink tbuf) files.trace)
+      ?metrics:(Option.map (fun _ -> locked_sink mbuf) files.metrics)
+      ?spans:
+        (Option.map
+           (fun _ chunk -> Mutex.protect smutex (fun () -> sfrags := chunk :: !sfrags))
+           files.spans)
+      ctx
+  in
+  let result = f ctx in
+  ( result,
+    {
+      trace_chunk = Buffer.contents tbuf;
+      metrics_chunk = Buffer.contents mbuf;
+      span_fragments = List.rev !sfrags;
+    } )
+
+let with_out path k =
+  match path with
+  | None -> k None
+  | Some path ->
+    let oc = open_out path in
+    Fun.protect ~finally:(fun () -> close_out oc) (fun () -> k (Some oc))
+
+(* Opens the output files around [k], which gets the function that
+   appends one simulation's [captured] output; the caller feeds it in
+   submission order, so the files are byte-identical at any --jobs. The
+   span fragments become one JSON document once [k] returns. *)
+let with_sink_files files k =
+  let fragments = ref [] in
+  let result =
+    with_out files.trace @@ fun trace_oc ->
+    with_out files.metrics @@ fun metrics_oc ->
+    k (fun c ->
+        Option.iter (fun oc -> output_string oc c.trace_chunk) trace_oc;
+        Option.iter (fun oc -> output_string oc c.metrics_chunk) metrics_oc;
+        fragments := List.rev_append c.span_fragments !fragments)
+  in
+  Option.iter
+    (fun path ->
+      let oc = open_out path in
+      output_string oc (Ninja_telemetry.Export.document (List.rev !fragments));
+      close_out oc;
+      Printf.printf "wrote %s\n%!" path)
+    files.spans;
+  result
+
 let list_cmd =
   let doc = "List the available experiments." in
   let run () =
@@ -130,25 +214,14 @@ let run_cmd =
     in
     Arg.(value & opt int 1 & info [ "j"; "jobs" ] ~docv:"N" ~doc)
   in
-  let trace_file =
-    let doc =
-      "Write the simulation trace timelines to $(docv) (one block per simulation; block \
-       order across simulations is unspecified under --jobs > 1)."
-    in
-    Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
-  in
-  let metrics_file =
-    let doc = "Also write every produced table to $(docv) as CSV, in experiment order." in
-    Arg.(value & opt (some string) None & info [ "metrics" ] ~docv:"FILE" ~doc)
-  in
-  let spans_file =
-    let doc =
-      "Write telemetry spans to $(docv) as Chrome trace-event JSON (load it in Perfetto or \
-       chrome://tracing): one process track per node/component, one thread per VM/role, \
-       timestamps in simulated time. Also appends the telemetry metrics of each simulation \
-       to --metrics output. Byte-identical at any --jobs value."
-    in
-    Arg.(value & opt (some string) None & info [ "spans" ] ~docv:"FILE" ~doc)
+  let files =
+    sink_files
+      ~metrics_doc:"Also write every produced table to $(docv) as CSV, in experiment order."
+      ~spans_doc:
+        "Write telemetry spans to $(docv) as Chrome trace-event JSON (load it in Perfetto \
+         or chrome://tracing): one process track per node/component, one thread per \
+         VM/role, timestamps in simulated time. Also appends the telemetry metrics of each \
+         simulation to --metrics output. Byte-identical at any --jobs value."
   in
   let traffic =
     let doc =
@@ -166,8 +239,7 @@ let run_cmd =
     in
     Arg.(value & opt (some mode_conv) None & info [ "mode" ] ~docv:"MODE" ~doc)
   in
-  let run name full csv_dir seed faults topology traffic mig_mode jobs trace_file
-      metrics_file spans_file =
+  let run name full csv_dir seed faults topology traffic mig_mode jobs files =
     if jobs < 1 then begin
       prerr_endline "run: --jobs must be at least 1";
       exit 1
@@ -190,63 +262,19 @@ let run_cmd =
     | Ok entries ->
       let open Ninja_engine in
       let faults = List.map Ninja_faults.Injector.spec_to_string faults in
-      (* Pooled tasks write their sinks into per-experiment buffers; the
-         main domain drains each buffer in submission order, so the files
-         come out deterministically even under --jobs > 1. *)
-      let locked_sink buf =
-        let m = Mutex.create () in
-        fun chunk ->
-          Mutex.lock m;
-          Buffer.add_string buf chunk;
-          if chunk = "" || chunk.[String.length chunk - 1] <> '\n' then Buffer.add_char buf '\n';
-          Mutex.unlock m
-      in
-      let with_out path k =
-        match path with
-        | None -> k None
-        | Some path ->
-          let oc = open_out path in
-          Fun.protect ~finally:(fun () -> close_out oc) (fun () -> k (Some oc))
-      in
-      let with_pool k =
-        if jobs > 1 then Pool.with_pool ~size:jobs (fun p -> k (Some p)) else k None
-      in
-      with_out trace_file @@ fun trace_oc ->
-      with_out metrics_file @@ fun metrics_oc ->
-      with_pool @@ fun pool ->
+      with_sink_files files @@ fun emit ->
+      with_pool jobs @@ fun pool ->
       let topology = Option.map Ninja_hardware.Topology.to_string topology in
       let traffic = Option.map Ninja_workloads.Traffic.to_string traffic in
       let migration = Option.map Ninja_vmm.Migration.mode_name mig_mode in
       let ctx =
         Run_ctx.make ?seed ~mode ~faults ?topology ?traffic ?migration ?pool ()
       in
-      (* Span fragments accumulate across all experiments (in submission
-         order) and are assembled into one JSON document at the end. *)
-      let all_fragments = ref [] in
-      let run_one e =
-        let tbuf = Buffer.create 256 and mbuf = Buffer.create 256 in
-        let smutex = Mutex.create () in
-        let sfrags = ref [] in
-        let ctx =
-          Run_ctx.with_sinks
-            ?trace:(Option.map (fun _ -> locked_sink tbuf) trace_oc)
-            ?metrics:(Option.map (fun _ -> locked_sink mbuf) metrics_oc)
-            ?spans:
-              (Option.map
-                 (fun _ chunk ->
-                   Mutex.protect smutex (fun () -> sfrags := chunk :: !sfrags))
-                 spans_file)
-            ctx
-        in
-        let tables = Registry.run_entry ctx e in
-        (tables, Buffer.contents tbuf, Buffer.contents mbuf, List.rev !sfrags)
-      in
-      let print_result e (tables, tchunk, mchunk, sfrags) =
+      let run_one e = capture files ctx (fun ctx -> Registry.run_entry ctx e) in
+      let print_result e (tables, captured) =
         Printf.printf "== %s: %s ==\n%!" e.Registry.name e.Registry.description;
         print_tables ~csv_dir e.Registry.name tables;
-        Option.iter (fun oc -> output_string oc tchunk) trace_oc;
-        Option.iter (fun oc -> output_string oc mchunk) metrics_oc;
-        all_fragments := List.rev_append sfrags !all_fragments
+        emit captured
       in
       (* Submit everything up front, then print in submission order as
          results arrive: parallel output is byte-identical to serial. *)
@@ -255,19 +283,12 @@ let run_cmd =
         entries
         |> List.map (fun e -> (e, Pool.submit p (fun () -> run_one e)))
         |> List.iter (fun (e, fut) -> print_result e (Pool.await p fut))
-      | None -> List.iter (fun e -> print_result e (run_one e)) entries);
-      Option.iter
-        (fun path ->
-          let oc = open_out path in
-          output_string oc (Ninja_telemetry.Export.document (List.rev !all_fragments));
-          close_out oc;
-          Printf.printf "wrote %s\n%!" path)
-        spans_file
+      | None -> List.iter (fun e -> print_result e (run_one e)) entries)
   in
   Cmd.v (Cmd.info "run" ~doc)
     Term.(
       const run $ name_arg $ full $ csv_dir $ seed_arg $ fault_args $ topology_arg
-      $ traffic $ mig_mode $ jobs $ trace_file $ metrics_file $ spans_file)
+      $ traffic $ mig_mode $ jobs $ files)
 
 (* `ninja_sim script [FILE]`: execute a Fig. 5-style migration script
    against a canned demo scenario (2 VMs on the IB cluster running a
@@ -462,10 +483,7 @@ let check_cmd =
         exit 1
       end;
       let open Ninja_engine in
-      let with_pool k =
-        if jobs > 1 then Pool.with_pool ~size:jobs (fun p -> k (Some p)) else k None
-      in
-      with_pool @@ fun pool ->
+      with_pool jobs @@ fun pool ->
       let ctx = Run_ctx.make ?seed ?pool () in
       let summary =
         Fuzz.campaign ctx ~n ?plant ?topology ?strategy ?mode:mig_mode
@@ -613,25 +631,15 @@ let serve_cmd =
     let doc = "Print the per-request service log." in
     Arg.(value & flag & info [ "log" ] ~doc)
   in
-  let trace_file =
-    let doc = "Write the simulation trace timelines to $(docv)." in
-    Arg.(value & opt (some string) None & info [ "trace" ] ~docv:"FILE" ~doc)
-  in
-  let metrics_file =
-    let doc = "Write the telemetry metrics of each run to $(docv) as CSV." in
-    Arg.(value & opt (some string) None & info [ "metrics" ] ~docv:"FILE" ~doc)
-  in
-  let spans_file =
-    let doc =
-      "Write request/migration spans to $(docv) as Chrome trace-event JSON (one \
-       controlplane thread per request)."
-    in
-    Arg.(value & opt (some string) None & info [ "spans" ] ~docv:"FILE" ~doc)
+  let files =
+    sink_files ~metrics_doc:"Write the telemetry metrics of each run to $(docv) as CSV."
+      ~spans_doc:
+        "Write request/migration spans to $(docv) as Chrome trace-event JSON (one \
+         controlplane thread per request)."
   in
   let run duration rate burst_period burst_size burst_spread tenants_n vms_per_tenant
       mem_gb strategy mig_mode traffic auto_swap stats_file stats_every top_k
-      max_inflight queue_cap slo seed seeds jobs show_log faults topology trace_file
-      metrics_file spans_file =
+      max_inflight queue_cap slo seed seeds jobs show_log faults topology files =
     if duration <= 0.0 || rate < 0.0 || tenants_n < 1 || vms_per_tenant < 0
        || max_inflight < 1 || queue_cap < 1 || jobs < 1
     then begin
@@ -682,46 +690,7 @@ let serve_cmd =
       exit 1);
     let faults = List.map Ninja_faults.Injector.spec_to_string faults in
     let seeds = if seeds = [] then [ Option.value seed ~default:1L ] else seeds in
-    let locked_sink buf =
-      let m = Mutex.create () in
-      fun chunk ->
-        Mutex.lock m;
-        Buffer.add_string buf chunk;
-        if chunk = "" || chunk.[String.length chunk - 1] <> '\n' then
-          Buffer.add_char buf '\n';
-        Mutex.unlock m
-    in
-    let with_out path k =
-      match path with
-      | None -> k None
-      | Some path ->
-        let oc = open_out path in
-        Fun.protect ~finally:(fun () -> close_out oc) (fun () -> k (Some oc))
-    in
-    let with_pool k =
-      if jobs > 1 then Pool.with_pool ~size:jobs (fun p -> k (Some p)) else k None
-    in
-    with_out trace_file @@ fun trace_oc ->
-    with_out metrics_file @@ fun metrics_oc ->
-    with_pool @@ fun pool ->
-    let topology = Option.map Ninja_hardware.Topology.to_string topology in
-    let ctx = Run_ctx.make ~faults ?topology ?pool ~label:"serve" () in
-    let all_fragments = ref [] in
-    let serve_one ctx seed =
-      let tbuf = Buffer.create 256 and mbuf = Buffer.create 256 in
-      let smutex = Mutex.create () in
-      let sfrags = ref [] in
-      let ctx =
-        Run_ctx.with_sinks
-          ?trace:(Option.map (fun _ -> locked_sink tbuf) trace_oc)
-          ?metrics:(Option.map (fun _ -> locked_sink mbuf) metrics_oc)
-          ?spans:
-            (Option.map
-               (fun _ chunk ->
-                 Mutex.protect smutex (fun () -> sfrags := chunk :: !sfrags))
-               spans_file)
-          (Run_ctx.with_seed seed ctx)
-      in
+    let serve_seed ctx seed =
       let env = Exp_common.fresh ctx in
       let tenant_names =
         List.init tenants_n (fun i ->
@@ -856,36 +825,36 @@ let serve_cmd =
         | _ -> ""
       in
       Option.iter Ninja_telemetry.Flowmon.detach fm;
-      (!status, Buffer.contents b, Buffer.contents tbuf, Buffer.contents mbuf,
-       List.rev !sfrags, stats)
+      (!status, Buffer.contents b, stats)
     in
-    let results = Exp_common.sweep ctx ~f:serve_one seeds in
-    let stats_buf = Buffer.create 256 in
     let worst =
-      List.fold_left
-        (fun acc (status, report, tchunk, mchunk, sfrags, stats) ->
-          print_string report;
-          Option.iter (fun oc -> output_string oc tchunk) trace_oc;
-          Option.iter (fun oc -> output_string oc mchunk) metrics_oc;
-          all_fragments := List.rev_append sfrags !all_fragments;
-          Buffer.add_string stats_buf stats;
-          max acc status)
-        0 results
+      with_sink_files files @@ fun emit ->
+      with_pool jobs @@ fun pool ->
+      let topology = Option.map Ninja_hardware.Topology.to_string topology in
+      let ctx = Run_ctx.make ~faults ?topology ?pool ~label:"serve" () in
+      let serve_one ctx seed =
+        capture files (Run_ctx.with_seed seed ctx) (fun ctx -> serve_seed ctx seed)
+      in
+      let results = Exp_common.sweep ctx ~f:serve_one seeds in
+      let stats_buf = Buffer.create 256 in
+      let worst =
+        List.fold_left
+          (fun acc ((status, report, stats), captured) ->
+            print_string report;
+            emit captured;
+            Buffer.add_string stats_buf stats;
+            max acc status)
+          0 results
+      in
+      Option.iter
+        (fun path ->
+          let oc = open_out path in
+          output_string oc (Buffer.contents stats_buf);
+          close_out oc;
+          Printf.printf "wrote %s\n%!" path)
+        stats_file;
+      worst
     in
-    Option.iter
-      (fun path ->
-        let oc = open_out path in
-        output_string oc (Buffer.contents stats_buf);
-        close_out oc;
-        Printf.printf "wrote %s\n%!" path)
-      stats_file;
-    Option.iter
-      (fun path ->
-        let oc = open_out path in
-        output_string oc (Ninja_telemetry.Export.document (List.rev !all_fragments));
-        close_out oc;
-        Printf.printf "wrote %s\n%!" path)
-      spans_file;
     if worst <> 0 then exit worst
   in
   Cmd.v (Cmd.info "serve" ~doc)
@@ -893,7 +862,7 @@ let serve_cmd =
       const run $ duration $ rate $ burst_period $ burst_size $ burst_spread $ tenants
       $ vms_per_tenant $ mem_gb $ strategy $ mig_mode $ traffic $ auto_swap $ stats_file
       $ stats_every $ top_k $ max_inflight $ queue_cap $ slo $ seed_arg $ seeds $ jobs
-      $ show_log $ fault_args $ topology_arg $ trace_file $ metrics_file $ spans_file)
+      $ show_log $ fault_args $ topology_arg $ files)
 
 let () =
   let doc = "Ninja migration reproduction: run the paper's experiments on the simulator." in

@@ -3,7 +3,7 @@
    Two VMs run a two-rank MPI job on the InfiniBand cluster; we migrate
    them to the Ethernet cluster mid-run. The job keeps running — the MPI
    transport switches from openib to tcp underneath it — and we print the
-   overhead breakdown plus the interesting trace lines.
+   overhead breakdown plus the migration's protocol events.
 
      dune exec examples/quickstart.exe
 *)
@@ -23,6 +23,14 @@ let () =
 
   (* 2. Two 20 GB VMs on the IB cluster, HCAs passed through. *)
   let ninja = Ninja.setup cluster ~hosts:[ host "ib00"; host "ib01" ] () in
+
+  (* Keep the protocol transitions the cluster announces on its probe
+     bus: SymVirt fences, the migration's start/end, VM moves. *)
+  let events = ref [] in
+  Probe.subscribe (Cluster.probes cluster) (fun e ->
+      match (e.Probe.topic, e.Probe.action) with
+      | ("fence" | "migrate"), _ | "vm", "migrated" -> events := e :: !events
+      | _ -> ());
 
   (* 3. An MPI job: iterations of compute + allreduce, reporting the
      transport used to reach the peer. *)
@@ -54,10 +62,5 @@ let () =
   Sim.run sim;
   Printf.printf "\njob finished at %.1fs without restarting any MPI process.\n"
     (Time.to_sec_f (Sim.now sim));
-  print_endline "\n--- migration-related trace ---";
-  List.iter
-    (fun r ->
-      Printf.printf "[%8.2fs] %-10s %s\n" (Time.to_sec_f r.Trace.at) r.Trace.category
-        r.Trace.message)
-    (Trace.by_category (Cluster.trace cluster) "ninja"
-    @ Trace.by_category (Cluster.trace cluster) "symvirt")
+  print_endline "\n--- migration protocol events ---";
+  List.iter (Format.printf "%a@." Probe.pp) (List.rev !events)

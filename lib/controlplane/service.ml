@@ -187,7 +187,7 @@ let by_vm_name a b = compare (Vm.name a) (Vm.name b)
 
 (* A destination exchange is its own little plan: no packing, just the
    two VMs aimed at each other's hosts ({!Ninja_planner.Plan.of_assignment}
-   turns the 2-cycle into a staged chain or a traced overcommit). Tenants
+   turns the 2-cycle into a staged chain or an overcommit). Tenants
    swap among their own VMs; [ops] may swap across tenants. Exchanges
    never cross fabric classes — the device plan for each VM was computed
    for its host's interconnect. *)

@@ -46,5 +46,10 @@ let emit t ~topic ~action ?(subject = "") ?(info = []) () =
 let info_of e key = List.assoc_opt key e.info
 
 let pp fmt e =
-  Format.fprintf fmt "[%a] %s/%s %s" Time.pp e.at e.topic e.action e.subject;
-  List.iter (fun (k, v) -> Format.fprintf fmt " %s=%s" k v) e.info
+  let at = Time.to_sec_f e.at and transition = e.topic ^ "/" ^ e.action in
+  match
+    (if e.subject = "" then [] else [ e.subject ])
+    @ List.map (fun (k, v) -> k ^ "=" ^ v) e.info
+  with
+  | [] -> Format.fprintf fmt "[%8.2fs] %s" at transition
+  | fields -> Format.fprintf fmt "[%8.2fs] %-20s %s" at transition (String.concat " " fields)

@@ -4,10 +4,12 @@
     announce protocol-relevant transitions — fence entry/release, VM
     migrations, device hotplug, plan construction, fault firings — as
     plain (topic, action, subject, info) records stamped with the current
-    simulation time. Unlike {!Trace}, events are structured (no string
-    parsing needed to consume them) and delivery is synchronous: a
-    subscriber observes the simulation exactly at the instant of the
-    transition, which is what an invariant checker needs.
+    simulation time. Events are structured (no string parsing needed to
+    consume them) and delivery is synchronous: a subscriber observes the
+    simulation exactly at the instant of the transition, which is what an
+    invariant checker needs. The bus is the simulator's only event
+    stream: the checker, the telemetry recorder, the flow monitor and the
+    [--trace] timeline all subscribe to it.
 
     When nothing is subscribed, {!emit} returns immediately without
     allocating — an idle bus costs one branch per probe site, so
@@ -59,3 +61,6 @@ val emit :
 val info_of : event -> string -> string option
 
 val pp : Format.formatter -> event -> unit
+(** One timeline line with fixed-width time and transition columns, e.g.
+    ["\[   10.02s\] fence/enter          vms=vm0,vm1 count=2"]: the
+    subject, then the info pairs as [key=value]. *)

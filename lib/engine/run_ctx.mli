@@ -46,7 +46,7 @@ type t = {
       (** names this run's simulations in telemetry exports (e.g. the
           experiment entry and sweep-point index), so tracks from
           different simulations stay distinct; [""] when unused *)
-  trace : sink option;  (** rendered trace timelines, one per simulation *)
+  trace : sink option;  (** rendered probe-bus timelines, one per simulation *)
   metrics : sink option;  (** result tables as CSV, one chunk per table *)
   spans : sink option;
       (** telemetry span exports (Chrome trace-event JSON), one chunk per

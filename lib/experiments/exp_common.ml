@@ -9,6 +9,7 @@ type env = {
   sim : Sim.t;
   cluster : Cluster.t;
   recorder : Recorder.t option;
+  timeline : Buffer.t option;
 }
 
 let fresh ?spec ctx =
@@ -44,7 +45,18 @@ let fresh ?spec ctx =
       ignore (Recorder.attach r (Cluster.probes cluster));
       Some r
   in
-  { ctx; sim; cluster; recorder }
+  (* A trace sink subscribes a renderer the same way: one timeline line
+     per bus event, flushed as one block when the simulation completes. *)
+  let timeline =
+    match ctx.Run_ctx.trace with
+    | None -> None
+    | Some _ ->
+      let b = Buffer.create 4096 in
+      let fmt = Format.formatter_of_buffer b in
+      Probe.subscribe (Cluster.probes cluster) (fun e -> Format.fprintf fmt "%a@." Probe.pp e);
+      Some b
+  in
+  { ctx; sim; cluster; recorder; timeline }
 
 (* The context carries the copy mode as text (the engine cannot depend on
    the VMM); it was validated at the entry point, so a bad name here is a
@@ -64,17 +76,6 @@ let hosts cluster ~prefix ~first ~count =
 
 let track_prefix ctx =
   match ctx.Run_ctx.label with "" -> "" | label -> label ^ "/"
-
-let flush_trace env =
-  match env.ctx.Run_ctx.trace with
-  | None -> ()
-  | Some _ ->
-    let timeline =
-      Format.asprintf "%a" Trace.pp_timeline (Cluster.trace env.cluster)
-    in
-    if String.trim timeline <> "" then
-      Run_ctx.trace_line env.ctx
-        (Printf.sprintf "-- trace (seed %Ld) --\n%s" env.ctx.Run_ctx.seed timeline)
 
 let flush_telemetry env =
   match env.recorder with
@@ -102,7 +103,11 @@ let flush_telemetry env =
 
 let finish env =
   Run_ctx.observe env.ctx "sim_s" (Time.to_sec_f (Sim.now env.sim));
-  flush_trace env;
+  (match env.timeline with
+  | Some b when Buffer.length b > 0 ->
+    Run_ctx.trace_line env.ctx
+      (Printf.sprintf "-- trace (seed %Ld) --\n%s" env.ctx.Run_ctx.seed (Buffer.contents b))
+  | Some _ | None -> ());
   flush_telemetry env
 
 let run_to_completion env =

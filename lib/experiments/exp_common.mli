@@ -18,11 +18,15 @@ type env = {
   sim : Sim.t;
   cluster : Cluster.t;
   recorder : Ninja_telemetry.Recorder.t option;
+  timeline : Buffer.t option;
 }
 (** One simulated point: a deterministic simulation (seeded from the
     context) plus its cluster, with the context's fault specs armed on
     the cluster's injector. When the context carries a spans sink, a
-    telemetry recorder is attached to the cluster's probe bus. *)
+    telemetry recorder is attached to the cluster's probe bus; when it
+    carries a trace sink, [timeline] collects every bus event rendered
+    with {!Ninja_engine.Probe.pp}, one line each. Either subscriber only
+    observes: the simulation and its tables are the same without them. *)
 
 val fresh : ?spec:Spec.t -> Run_ctx.t -> env
 (** Cluster population: an explicit [spec] wins; otherwise the context's
@@ -39,8 +43,9 @@ val hosts : Cluster.t -> prefix:string -> first:int -> count:int -> Node.t list
 (** e.g. [hosts c ~prefix:"ib" ~first:8 ~count:8] = ib08..ib15. *)
 
 val run_to_completion : env -> unit
-(** [Sim.run], then flush: the cluster's trace timeline to the trace
-    sink, the recorder's span fragment to the spans sink and its metrics
+(** [Sim.run], then flush: the probe timeline to the trace sink under a
+    ["-- trace (seed N) --"] header (nothing when no event fired), the
+    recorder's span fragment to the spans sink and its metrics
     CSV to the metrics sink (each only when armed), and the simulated
     end time to the observation hook as ["sim_s"]. *)
 

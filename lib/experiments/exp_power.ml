@@ -25,21 +25,21 @@ let step ~busy ctx _i =
   Mpi.allreduce ctx ~bytes:1.0e6;
   Mpi.checkpoint_point ctx
 
-(* One deterministic run; with [meter_until = Some t] a power meter
-   integrates every node's draw up to t. *)
-let one_run rc ~consolidated ~busy ~meter_until =
+(* One deterministic run under a power meter that integrates every
+   node's draw up to the job's completion. *)
+let measure rc ~consolidated ~busy =
   let env = fresh ~spec:Spec.agc rc in
   let sim = env.sim and cluster = env.cluster in
   let ib = hosts cluster ~prefix:"ib" ~first:0 ~count:4 in
   let eth = hosts cluster ~prefix:"eth" ~first:0 ~count:2 in
   let ninja = Ninja.setup cluster ~hosts:ib () in
-  let finished_at = ref 0.0 in
+  let finished_at = ref None in
   ignore
     (Ninja.launch ninja ~procs_per_vm:8 (fun ctx ->
          for i = 1 to iterations ~mode:rc.Run_ctx.mode ~busy do
            step ~busy ctx i
          done;
-         if Mpi.rank ctx = 0 then finished_at := Mpi.wtime ctx));
+         if Mpi.rank ctx = 0 then finished_at := Some (Sim.now sim)));
   if consolidated then
     Sim.spawn sim (fun () ->
         Sim.sleep (Time.sec 5);
@@ -53,26 +53,17 @@ let one_run rc ~consolidated ~busy ~meter_until =
     List.exists (fun vm -> (Ninja_vmm.Vm.host vm).Node.id = node.Node.id) (Ninja.vms ninja)
   in
   let meter =
-    Option.map
-      (fun until -> Power.measure sim ~awake ~until (Cluster.nodes cluster))
-      meter_until
+    Power.measure sim ~awake ~until:(fun () -> !finished_at) (Cluster.nodes cluster)
   in
   Sim.spawn sim (fun () -> Ninja.wait_job ninja);
   run_to_completion env;
-  (!finished_at, Option.map Power.energy_joules meter)
-
-let measure rc ~consolidated ~busy =
-  (* Pass 1 finds the run length; pass 2 replays it with the meter so the
-     integration stops exactly at job completion. *)
-  let duration, _ = one_run rc ~consolidated ~busy ~meter_until:None in
-  let _, energy = one_run rc ~consolidated ~busy ~meter_until:(Some (Time.of_sec_f duration)) in
   {
     label =
       Printf.sprintf "%s, %s"
         (if busy then "CPU-bound" else "under-utilised (~15%)")
         (if consolidated then "consolidated 2 hosts" else "spread 4 hosts");
-    duration;
-    energy_kj = Option.get energy /. 1e3;
+    duration = sec (Option.get !finished_at);
+    energy_kj = Power.energy_joules meter /. 1e3;
   }
 
 let run rc =

@@ -21,16 +21,22 @@ let measure sim ?(model = m610) ?(interval = Time.sec 1) ?(awake = default_awake
   let meter = { model; nodes; joules = Hashtbl.create 16; n_samples = 0 } in
   List.iter (fun (n : Node.t) -> Hashtbl.replace meter.joules n.Node.id 0.0) nodes;
   let dt = Time.to_sec_f interval in
-  Sim.spawn sim ~name:"power-meter" (fun () ->
-      while Time.(Time.add (Sim.now sim) interval <= until) do
-        Sim.sleep interval;
-        meter.n_samples <- meter.n_samples + 1;
-        List.iter
-          (fun (n : Node.t) ->
-            let j = Hashtbl.find meter.joules n.Node.id in
-            Hashtbl.replace meter.joules n.Node.id (j +. (node_power model ~awake n *. dt)))
-          nodes
-      done);
+  (* A tick at or before the job's end counts even when the job finished
+     earlier in the same instant; the first later tick stops the meter. *)
+  let rec tick () =
+    Sim.sleep interval;
+    match until () with
+    | Some t when Time.(Sim.now sim > t) -> ()
+    | Some _ | None ->
+      meter.n_samples <- meter.n_samples + 1;
+      List.iter
+        (fun (n : Node.t) ->
+          let j = Hashtbl.find meter.joules n.Node.id in
+          Hashtbl.replace meter.joules n.Node.id (j +. (node_power model ~awake n *. dt)))
+        nodes;
+      tick ()
+  in
+  Sim.spawn sim ~name:"power-meter" tick;
   meter
 
 let per_node_joules meter =

@@ -27,11 +27,14 @@ val measure :
   ?model:model ->
   ?interval:Time.span ->
   ?awake:(Node.t -> bool) ->
-  until:Time.t ->
+  until:(unit -> Time.t option) ->
   Node.t list ->
   meter
-(** Sample every [interval] (default 1 s) until the given time,
-    integrating each node's power draw. [awake] decides whether a host is
+(** Sample every [interval] (default 1 s), integrating each node's power
+    draw, until the metered job ends: [until ()] returns the job's
+    completion time once it has finished ([None] while it runs). Exactly
+    the ticks at or before that time count; the meter stops at the first
+    later tick, so a job that never finishes keeps the simulation alive. [awake] decides whether a host is
     powered at all — the consolidation policy can only power off hosts
     with no resident VMs, so callers typically pass "hosts a VM"; the
     default treats any host with non-zero CPU utilisation as awake. *)

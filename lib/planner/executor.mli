@@ -6,8 +6,8 @@
     once — a migration holds a permit on both its source and destination,
     acquired in node-id order so permit waits can never cycle). Steps
     execute through the VM's QEMU monitor by default, exactly as the
-    per-VM SymVirt agents do, and the executor records a per-step trace
-    plus timing so experiments can report makespan, per-step latency and
+    per-VM SymVirt agents do, and the executor records per-step timing
+    (and a [step-N] span per attempt on the probe bus) so experiments can report makespan, per-step latency and
     aggregate downtime.
 
     Failures are recoverable: a step that errors is re-attempted under the

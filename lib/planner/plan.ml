@@ -186,7 +186,6 @@ let find_cycle ~edges ~staged m =
   !cycle
 
 let of_assignment cluster ~vms ~dst_of ?(staging = []) ?bytes_of () =
-  let trace = Cluster.trace cluster in
   let bytes_of =
     Option.value bytes_of ~default:(fun vm -> Memory.nonzero_bytes (Vm.memory vm))
   in
@@ -251,11 +250,7 @@ let of_assignment cluster ~vms ~dst_of ?(staging = []) ?bytes_of () =
       | s :: rest ->
         pool := rest;
         staged.(pick) <- true;
-        stage_node.(pick) <- Some s;
-        Trace.recordf trace ~category:"planner" "cycle of %d broken: %s staged via %s"
-          (List.length cycle)
-          (Vm.name movers.(pick).mvm)
-          s.Node.name
+        stage_node.(pick) <- Some s
       | [] ->
         (* No refuge: drop the picked member's in-cycle edge and accept a
            transient overcommit of its destination. *)
@@ -266,11 +261,7 @@ let of_assignment cluster ~vms ~dst_of ?(staging = []) ?bytes_of () =
           | [] -> assert false
         in
         let dropped = next_of cycle in
-        edges.(pick) <- List.filter (fun j -> j <> dropped) edges.(pick);
-        Trace.recordf trace ~category:"planner"
-          "cycle of %d: no staging node free, %s overcommits %s" (List.length cycle)
-          (Vm.name movers.(pick).mvm)
-          movers.(pick).mdst.Node.name)
+        edges.(pick) <- List.filter (fun j -> j <> dropped) edges.(pick))
   done;
   (* Materialise steps and edges. *)
   let plan = create () in

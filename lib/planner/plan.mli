@@ -15,7 +15,7 @@
       staging node and [Stage_in] to the final destination — which breaks
       the cycle (the destination-swap strategy of Avin et al.,
       arXiv:1309.5826). With no staging node available the weakest
-      conflict edge is dropped instead (a deliberate, traced overcommit —
+      conflict edge is dropped instead (a deliberate overcommit —
       hosts in this model can hold several VMs).
 
     Solvers ({!Solver}) add further {e ordering} edges on top to shape

@@ -342,6 +342,37 @@ let test_registry_parallel_identical () =
   in
   Alcotest.(check string) "fig6 -j4 == -j1" serial parallel
 
+(* A trace sink renders each simulation's probe-bus events: fig6 writes
+   the same non-empty timeline serially and on a 2-domain pool, the
+   timeline shows the SymVirt fence and the VM moves, and the sink leaves
+   the tables as they are without it. *)
+let test_registry_trace_sink () =
+  let e = Option.get (Registry.find "fig6") in
+  let traced ctx =
+    let buf = Buffer.create 4096 and m = Mutex.create () in
+    let sink chunk = Mutex.protect m (fun () -> Buffer.add_string buf chunk) in
+    let tables = Registry.run_entry (Run_ctx.with_sinks ~trace:sink ctx) e in
+    (render tables, Buffer.contents buf)
+  in
+  let has_line timeline transition =
+    List.exists
+      (fun line ->
+        String.length line > 12 && String.starts_with ~prefix:(transition ^ " ")
+          (String.sub line 12 (String.length line - 12)))
+      (String.split_on_char '\n' timeline)
+  in
+  let serial_tables, serial = traced rc in
+  let pooled_tables, pooled =
+    Pool.with_pool ~size:2 (fun pool -> traced (Run_ctx.make ~pool ()))
+  in
+  Alcotest.(check bool) "timeline written" true (serial <> "");
+  Alcotest.(check string) "fig6 -j2 timeline == -j1" serial pooled;
+  Alcotest.(check bool) "fence entries" true (has_line serial "fence/enter");
+  Alcotest.(check bool) "VM moves" true (has_line serial "vm/migrated");
+  let plain = render (Registry.run_entry rc e) in
+  Alcotest.(check string) "tables unchanged by the sink" plain serial_tables;
+  Alcotest.(check string) "pooled tables unchanged by the sink" plain pooled_tables
+
 (* A seed change must actually reach the simulations: the context's seed
    initialises the PRNG of every simulation [fresh] creates. (Fault-free
    experiment tables are deliberately seed-insensitive — nothing on those
@@ -385,6 +416,8 @@ let () =
           Alcotest.test_case "all complete under fresh ctx" `Slow test_registry_all_complete;
           Alcotest.test_case "same seed, same tables" `Quick test_registry_deterministic;
           Alcotest.test_case "pooled == serial" `Quick test_registry_parallel_identical;
+          Alcotest.test_case "trace sink renders the probe bus" `Quick
+            test_registry_trace_sink;
           Alcotest.test_case "seed threads through" `Quick test_registry_seed_threads;
         ] );
     ]

@@ -126,7 +126,7 @@ let test_power_model () =
   (* Full load on one node past the metering window; the other sleeps. *)
   Sim.spawn sim (fun () -> Ps_resource.consume node.Node.cpu ~demand:8.0 ~work:88.0);
   let meter =
-    Power.measure sim ~until:(Time.sec 10) [ node; idle_node ]
+    Power.measure sim ~until:(fun () -> Some (Time.sec 10)) [ node; idle_node ]
   in
   Sim.run sim;
   Alcotest.(check int) "10 samples" 10 (Power.samples meter);
@@ -142,9 +142,35 @@ let test_power_partial_utilization () =
   let node = Cluster.find_node cluster "ib00" in
   (* 2 of 8 cores busy: 160 + 110 x 0.25 = 187.5 W. *)
   Sim.spawn sim (fun () -> Ps_resource.consume node.Node.cpu ~demand:2.0 ~work:40.0);
-  let meter = Power.measure sim ~until:(Time.sec 10) [ node ] in
+  let meter = Power.measure sim ~until:(fun () -> Some (Time.sec 10)) [ node ] in
   Sim.run sim;
   check_float "quarter load" 1875.0 (Power.energy_joules meter)
+
+(* The meter learns the job's end only once the job is over: it counts
+   exactly the ticks at or before that time. A job ending exactly on a
+   tick keeps the tick whichever of the two the simulation runs first. *)
+let test_power_meter_stops_at_job_end () =
+  let run ~end_ms ~job_first =
+    let sim = Sim.create () in
+    let cluster = Cluster.create sim ~spec:Spec.small () in
+    let finished = ref None in
+    let job () =
+      Sim.spawn sim (fun () ->
+          Sim.sleep (Time.ms end_ms);
+          finished := Some (Sim.now sim))
+    in
+    if job_first then job ();
+    let meter =
+      Power.measure sim ~until:(fun () -> !finished) [ Cluster.find_node cluster "ib00" ]
+    in
+    if not job_first then job ();
+    Sim.run sim;
+    Power.samples meter
+  in
+  Alcotest.(check int) "ends mid-interval" 3 (run ~end_ms:3500 ~job_first:true);
+  Alcotest.(check int) "ends before the first tick" 0 (run ~end_ms:400 ~job_first:true);
+  Alcotest.(check int) "ends on a tick, job first" 4 (run ~end_ms:4000 ~job_first:true);
+  Alcotest.(check int) "ends on a tick, meter first" 4 (run ~end_ms:4000 ~job_first:false)
 
 let ps_capacity_invariant_prop =
   (* Granted rates never exceed capacity, whatever the task mix. *)
@@ -186,5 +212,6 @@ let () =
       ( "power",
         Alcotest.test_case "model" `Quick test_power_model
         :: Alcotest.test_case "partial utilization" `Quick test_power_partial_utilization
+        :: Alcotest.test_case "meter stops at job end" `Quick test_power_meter_stops_at_job_end
         :: List.map QCheck_alcotest.to_alcotest [ ps_capacity_invariant_prop ] );
     ]
