@@ -1,70 +1,20 @@
-(* Bench harness.
+(* Bechamel micro-benchmarks of the simulator's hot paths.
 
-   Default invocation regenerates every table and figure of the paper at
-   paper-scale parameters, plus the ablations and extension studies, then
-   runs the Bechamel micro-benchmarks of the simulator's hot paths.
+     dune exec bench/main.exe
 
-     dune exec bench/main.exe                 # everything, paper-scale (~1-2 min)
-     dune exec bench/main.exe -- quick        # everything, quick parameters
-     dune exec bench/main.exe -- fig8         # one experiment (quick)
-     dune exec bench/main.exe -- fig8 full    # one experiment, paper-scale
-     dune exec bench/main.exe -- micro        # only the Bechamel suite
-     dune exec bench/main.exe -- quick -j 4   # experiments domain-parallel, 4 cores
-*)
-
-(* Aliased before the opens: Toolkit shadows [Monotonic_clock] with its
-   bechamel-instance wrapper, which has no [now]. *)
-module Mclock = Monotonic_clock
+   The paper's tables and figures regenerate with `ninja_sim run all
+   [--full] [-j N]` (or `ninja_sim run <experiment>`); the repository
+   benchmark, with per-experiment host time as `exp.<name>.wall_s`, is
+   `python3 perfbench/run.py`. *)
 
 open Bechamel
 open Toolkit
 open Ninja_experiments
-
-(* ------------------------------------------------------------------ *)
-(* Experiment tables *)
-
-(* Monotonic wall seconds: under [-j N] an experiment's simulations run on
-   several domains at once, so CPU time overstates (and [Sys.time] used to
-   misreport) what the user actually waits. *)
-let wall () = Int64.to_float (Mclock.now ()) /. 1e9
-
-let run_experiments ctx names =
-  let w0 = wall () and c0 = Sys.time () in
-  List.iter
-    (fun name ->
-      match Registry.find name with
-      | None -> Printf.printf "unknown experiment: %s\n%!" name
-      | Some e ->
-        Printf.printf "== %s: %s ==\n%!" e.Registry.name e.Registry.description;
-        (* Each simulation reports its simulated end time through the
-           context's observation hook, possibly from a pooled domain. *)
-        let sim_s = ref 0.0 in
-        let sim_m = Mutex.create () in
-        let ectx =
-          Ninja_engine.Run_ctx.with_observer
-            (Some
-               (fun name v ->
-                 if String.equal name "sim_s" then
-                   Mutex.protect sim_m (fun () -> sim_s := !sim_s +. v)))
-            ctx
-        in
-        let w = wall () and c = Sys.time () in
-        List.iter Ninja_metrics.Table.print (Registry.run_entry ectx e);
-        let wall_s = wall () -. w and cpu_s = Sys.time () -. c in
-        Printf.printf "(generated in %.1fs wall, %.1fs CPU, %.1fs simulated)\n\n%!" wall_s
-          cpu_s !sim_s)
-    names;
-  let total_wall = wall () -. w0 and total_cpu = Sys.time () -. c0 in
-  Printf.printf "== total: %.1fs wall, %.1fs CPU (%d job%s) ==\n%!" total_wall total_cpu
-    (Ninja_engine.Run_ctx.jobs ctx)
-    (if Ninja_engine.Run_ctx.jobs ctx = 1 then "" else "s")
-
-(* ------------------------------------------------------------------ *)
-(* Bechamel micro-benchmarks: one Test per reproduced table/figure (a
-   single representative configuration each, so the cost of regenerating
-   a result is itself tracked), plus the simulator's hot paths. *)
-
 open Ninja_engine
+
+(* One Test per reproduced table/figure (a single representative
+   configuration each, so the cost of regenerating a result is itself
+   tracked), plus the simulator's hot paths. *)
 
 let bench_heap =
   Test.make ~name:"engine/event-heap push+pop x1k"
@@ -193,39 +143,11 @@ let run_micro () =
     (List.sort compare rows);
   Ninja_metrics.Table.print table
 
-(* ------------------------------------------------------------------ *)
-
-(* Pull "-j N" / "--jobs N" out of the argument list. *)
-let rec extract_jobs = function
-  | [] -> (1, [])
-  | ("-j" | "--jobs") :: n :: rest ->
-    let jobs, rest = extract_jobs rest in
-    ignore jobs;
-    ((try max 1 (int_of_string n) with Failure _ -> 1), rest)
-  | arg :: rest ->
-    let jobs, rest = extract_jobs rest in
-    (jobs, arg :: rest)
-
 let () =
-  let jobs, args = extract_jobs (List.tl (Array.to_list Sys.argv)) in
-  let with_ctx mode k =
-    if jobs > 1 then
-      Pool.with_pool ~size:jobs (fun pool -> k (Run_ctx.make ~mode ~pool ()))
-    else k (Run_ctx.make ~mode ())
-  in
-  match args with
-  | [ "micro" ] -> run_micro ()
-  | [ "quick" ] ->
-    with_ctx Run_ctx.Quick (fun ctx -> run_experiments ctx Registry.names);
-    run_micro ()
-  | [ "full" ] | [] ->
-    with_ctx Run_ctx.Full (fun ctx -> run_experiments ctx Registry.names);
-    run_micro ()
-  | [ name ] when Registry.find name <> None ->
-    with_ctx Run_ctx.Quick (fun ctx -> run_experiments ctx [ name ])
-  | [ name; "full" ] | [ "full"; name ] ->
-    with_ctx Run_ctx.Full (fun ctx -> run_experiments ctx [ name ])
+  match List.tl (Array.to_list Sys.argv) with
+  | [] -> run_micro ()
   | _ ->
-    Printf.printf
-      "usage: main.exe [quick | full | micro | <experiment> [full]] [-j N]\nexperiments: %s\n"
-      (String.concat ", " Registry.names)
+    prerr_endline
+      "usage: main.exe (no arguments)\n\
+       regenerate the paper with: ninja_sim run all [--full] [-j N]";
+    exit 2

@@ -1,5 +1,4 @@
 open Ninja_engine
-open Ninja_flownet
 open Ninja_hardware
 open Ninja_vmm
 module Recorder = Ninja_telemetry.Recorder
@@ -51,25 +50,6 @@ let events_seen t = t.events
 let pp_violation fmt v =
   Format.fprintf fmt "[%a] %s: %s" Time.pp v.at v.invariant v.detail
 
-(* Allow float round-off plus a byte of slack per link: progressive
-   filling distributes exact shares, so anything beyond that is a real
-   oversubscription. *)
-let conserved ~capacity ~utilization =
-  utilization <= (capacity *. (1.0 +. 1e-6)) +. 1.0
-
-let check_flow_conservation t at =
-  let fabric = Cluster.fabric t.cluster in
-  List.iter
-    (fun link ->
-      let cap = Fabric.link_capacity link in
-      let util = Fabric.link_utilization fabric link in
-      if not (conserved ~capacity:cap ~utilization:util) then
-        record_at t ~at ~invariant:"flow-conservation"
-          ~detail:
-            (Printf.sprintf "link %s carries %.3g B/s over capacity %.3g B/s"
-               (Fabric.link_name link) util cap))
-    (Fabric.links fabric)
-
 let tags_of t name =
   match Hashtbl.find_opt t.attached name with
   | Some r -> r
@@ -89,7 +69,6 @@ let on_event t (e : Probe.event) =
         (Format.asprintf "%s/%s at %a precedes an earlier event at %a" e.Probe.topic
            e.Probe.action Time.pp e.Probe.at Time.pp t.last_at);
   t.last_at <- Time.max t.last_at e.Probe.at;
-  check_flow_conservation t e.Probe.at;
   let info key = Option.value (Probe.info_of e key) ~default:"" in
   match (e.Probe.topic, e.Probe.action) with
   | "fence", "enter" ->
@@ -243,6 +222,11 @@ let with_checker cluster ~vms f =
   Fun.protect ~finally:(fun () -> detach t) (fun () -> f t)
 
 let check_finish t =
+  (* Flow conservation is checked by the fabric itself at every re-solve;
+     report its first excess at the time of the solve that caused it. *)
+  Option.iter
+    (fun (at, detail) -> record_at t ~at ~invariant:"flow-conservation" ~detail)
+    (Ninja_flownet.Fabric.overload (Cluster.fabric t.cluster));
   (* Span audit: every tree reassembled from the bus must be closed and
      properly nested once the run is over — an open phase span here means
      an emitter aborted without unwinding, and a begin/end mismatch means

@@ -14,8 +14,11 @@
     - {b plan-acyclic} — every constructed plan DAG is acyclic;
     - {b permit-leak} — the plan executor returns every per-host permit
       it acquired;
-    - {b flow-conservation} — at every transition, the sum of flow
-      rates on each fabric link stays within its capacity;
+    - {b flow-conservation} — the sum of flow rates on each fabric link
+      (private hops included) stays within its capacity. The fabric
+      checks this itself at every re-solve, over the links it re-solved
+      ({!Ninja_flownet.Fabric.overload}); {!check_finish} reports the
+      first excess, stamped with the sim time of that solve;
     - {b fence-pairing} — fence enter/release strictly alternate, and
       no fence is left held at the end of the run;
     - {b rollback-restore} — after a rolled-back migration, every VM
@@ -78,7 +81,8 @@ val excused : t -> string -> bool
     phase since the last migration started. *)
 
 val check_finish : t -> unit
-(** End-of-run invariants: no fence held, every watched VM running on a
+(** End-of-run invariants: the fabric's recorded flow-conservation
+    excess, if any; no fence held, every watched VM running on a
     live host, device state consistent with the host's hardware
     (IB host ⇒ HCA attached; Ethernet host ⇒ no bypass device), every
     postcopy drain finished, every lost VM frozen, and every span tree

@@ -13,14 +13,12 @@ type t = {
   trace : sink option;
   metrics : sink option;
   spans : sink option;
-  observe : (string -> float -> unit) option;
   pool : Pool.t option;
 }
 
 let make ?(seed = 42L) ?(mode = Quick) ?(faults = []) ?topology ?traffic ?migration
-    ?(label = "") ?trace ?metrics ?spans ?observe ?pool () =
-  { seed; mode; faults; topology; traffic; migration; label; trace; metrics; spans;
-    observe; pool }
+    ?(label = "") ?trace ?metrics ?spans ?pool () =
+  { seed; mode; faults; topology; traffic; migration; label; trace; metrics; spans; pool }
 
 let default = make ()
 
@@ -44,8 +42,6 @@ let with_label label t = { t with label }
 
 let with_sinks ?trace ?metrics ?spans t = { t with trace; metrics; spans }
 
-let with_observer observe t = { t with observe }
-
 let jobs t = match t.pool with None -> 1 | Some p -> Pool.size p
 
 let map t ~f xs =
@@ -56,5 +52,3 @@ let trace_line t line = Option.iter (fun sink -> sink line) t.trace
 let emit_metrics t chunk = Option.iter (fun sink -> sink chunk) t.metrics
 
 let emit_spans t chunk = Option.iter (fun sink -> sink chunk) t.spans
-
-let observe t name value = Option.iter (fun f -> f name value) t.observe

@@ -52,10 +52,6 @@ type t = {
       (** telemetry span exports (Chrome trace-event JSON), one chunk per
           simulation; setting it arms the telemetry recorder on every
           cluster the run creates *)
-  observe : (string -> float -> unit) option;
-      (** scalar observation hook [name value], e.g. a bench harness
-          collecting per-entry simulated seconds; may be called from
-          pooled domains, so the callback must be thread-safe *)
   pool : Pool.t option;  (** grid points run domain-parallel when set *)
 }
 
@@ -70,7 +66,6 @@ val make :
   ?trace:sink ->
   ?metrics:sink ->
   ?spans:sink ->
-  ?observe:(string -> float -> unit) ->
   ?pool:Pool.t ->
   unit ->
   t
@@ -101,8 +96,6 @@ val with_sinks : ?trace:sink -> ?metrics:sink -> ?spans:sink -> t -> t
 (** Replaces all three sinks (absent arguments clear the sink — deriving
     a silent context from a noisy one is the common case). *)
 
-val with_observer : (string -> float -> unit) option -> t -> t
-
 val jobs : t -> int
 (** Pool size, or 1 when serial. *)
 
@@ -118,6 +111,3 @@ val emit_metrics : t -> string -> unit
 
 val emit_spans : t -> string -> unit
 (** Send a chunk to the spans sink, if any. *)
-
-val observe : t -> string -> float -> unit
-(** Report a named scalar to the observation hook, if any. *)

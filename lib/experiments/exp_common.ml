@@ -102,7 +102,6 @@ let flush_telemetry env =
            (Metrics.to_csv (Recorder.metrics r)))
 
 let finish env =
-  Run_ctx.observe env.ctx "sim_s" (Time.to_sec_f (Sim.now env.sim));
   (match env.timeline with
   | Some b when Buffer.length b > 0 ->
     Run_ctx.trace_line env.ctx

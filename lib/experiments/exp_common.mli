@@ -46,8 +46,7 @@ val run_to_completion : env -> unit
 (** [Sim.run], then flush: the probe timeline to the trace sink under a
     ["-- trace (seed N) --"] header (nothing when no event fired), the
     recorder's span fragment to the spans sink and its metrics
-    CSV to the metrics sink (each only when armed), and the simulated
-    end time to the observation hook as ["sim_s"]. *)
+    CSV to the metrics sink (each only when armed). *)
 
 val run_until : env -> Time.t -> unit
 (** [Sim.run_until] plus the same flush. *)

@@ -7,6 +7,7 @@ type link = {
   (* Scratch fields for the progressive-filling pass. *)
   mutable residual : float;
   mutable unfrozen : int;
+  mutable load : float; (* sum of the rates the last solve set *)
   (* Live flows crossing this link (fid -> task), maintained by the
      incremental solver from the rated set's change log. Stays empty under
      the [Global] reference solver. *)
@@ -22,10 +23,12 @@ and info = { fid : int; route : link list; mutable fmark : int }
 type solver = Incremental | Global
 
 type state = {
+  sim : Sim.t;
   solver : solver;
   mutable dirty_links : link list; (* capacity changes since last rerate *)
   mutable freeze_log : int list; (* bottleneck ids of the last solve, reversed *)
   mutable epoch : int; (* bumped per incremental rerate; validates marks *)
+  mutable overload : (Time.t * string) option; (* first conservation excess *)
 }
 
 type t = {
@@ -33,7 +36,7 @@ type t = {
   state : state;
   mutable next_link : int;
   mutable next_fid : int;
-  mutable all_links : link list;
+  mutable all_links : link list; (* [add_link] links only, newest first *)
 }
 
 type flow = info Rated.task
@@ -54,14 +57,18 @@ let better (fair, l) acc =
    pick the bottleneck link (smallest fair share = residual / unfrozen
    flows), freeze the unfrozen flows crossing it at that share, subtract
    their rate along their whole routes, and repeat until every flow is
-   frozen. *)
+   frozen. Then check flow conservation on every re-solved link against
+   the rates actually set: float round-off plus a byte of slack per link,
+   since progressive filling distributes exact shares. Only the first
+   excess is kept — recorded, not raised, so no caller can absorb it. *)
 let solve_subset state flows links =
   let n = Array.length flows in
   let routes = Array.map (fun fl -> (Rated.payload fl).route) flows in
   List.iter
     (fun l ->
       l.residual <- l.capacity;
-      l.unfrozen <- 0)
+      l.unfrozen <- 0;
+      l.load <- 0.0)
     links;
   Array.iter (fun route -> List.iter (fun l -> l.unfrozen <- l.unfrozen + 1) route) routes;
   let frozen = Array.make n false in
@@ -86,15 +93,28 @@ let solve_subset state flows links =
         then begin
           frozen.(i) <- true;
           Rated.set_rate flows.(i) fair;
+          let set = Rated.rate flows.(i) in
           decr remaining;
           List.iter
             (fun l ->
               l.residual <- Float.max 0.0 (l.residual -. fair);
-              l.unfrozen <- l.unfrozen - 1)
+              l.unfrozen <- l.unfrozen - 1;
+              l.load <- l.load +. set)
             routes.(i)
         end
       done
-  done
+  done;
+  if state.overload = None then
+    match
+      List.find_opt (fun l -> l.load > (l.capacity *. (1.0 +. 1e-6)) +. 1.0) links
+    with
+    | None -> ()
+    | Some l ->
+      state.overload <-
+        Some
+          ( Sim.now state.sim,
+            Printf.sprintf "link %s carries %.3g B/s over capacity %.3g B/s" l.name l.load
+              l.capacity )
 
 (* Reference solver: re-solve the whole fabric from scratch. *)
 let global_rerate state set =
@@ -187,7 +207,9 @@ let rerate state set =
   | Incremental -> incremental_rerate state set
 
 let create ?(solver = Incremental) sim =
-  let state = { solver; dirty_links = []; freeze_log = []; epoch = 0 } in
+  let state =
+    { sim; solver; dirty_links = []; freeze_log = []; epoch = 0; overload = None }
+  in
   {
     set = Rated.create sim ~name:"fabric" ~rerate:(rerate state);
     state;
@@ -200,16 +222,25 @@ let solver t = t.state.solver
 
 let last_bottlenecks t = List.rev t.state.freeze_log
 
-let add_link t ~name ~capacity =
+let overload t = t.state.overload
+
+(* Hops draw ids from the same counter as registered links, so link ids
+   (and with them the solver's tie-breaks) do not depend on which kind a
+   link is. *)
+let new_link t ~fn ~name ~capacity =
   if not (capacity > 0.0 && Float.is_finite capacity) then
-    invalid_arg "Fabric.add_link: capacity must be positive and finite";
+    invalid_arg (fn ^ ": capacity must be positive and finite");
   let id = t.next_link in
   t.next_link <- id + 1;
-  let l =
-    { id; name; capacity; residual = 0.0; unfrozen = 0; flows_on = Hashtbl.create 4; mark = 0 }
-  in
+  { id; name; capacity; residual = 0.0; unfrozen = 0; load = 0.0;
+    flows_on = Hashtbl.create 4; mark = 0 }
+
+let add_link t ~name ~capacity =
+  let l = new_link t ~fn:"Fabric.add_link" ~name ~capacity in
   t.all_links <- l :: t.all_links;
   l
+
+let hop t ~name ~capacity = new_link t ~fn:"Fabric.hop" ~name ~capacity
 
 let links t = List.rev t.all_links
 
@@ -259,7 +290,7 @@ let link_utilization t l =
        table order is reproducible: hashing is unseeded and the table's
        layout is a pure function of the simulation's (deterministic)
        insert/remove history, so replays and [-j N] runs see the same
-       order. Checkers probe this on every event — keep it allocation-free. *)
+       order. Flowmon polls this every tick — keep it allocation-free. *)
     let total = ref 0.0 in
     Hashtbl.iter (fun _ fl -> total := !total +. Rated.rate fl) l.flows_on;
     !total

@@ -43,9 +43,23 @@ val last_bottlenecks : t -> int list
 val add_link : t -> name:string -> capacity:float -> link
 (** [capacity] in bytes per second; must be positive. *)
 
+val hop : t -> name:string -> capacity:float -> link
+(** A private first hop (a migration sender, a guest NIC queue) placed in
+    front of a route. It takes its id from the same counter as
+    {!add_link}, so ids and the solver's tie-breaks do not depend on
+    whether a link is a hop, but {!links} does not list it: a hop lives
+    only as long as the routes that hold it. *)
+
 val links : t -> link list
-(** Every link ever added, in creation order — lets an observer sweep the
-    whole fabric (e.g. to check flow conservation on each link). *)
+(** The {!add_link} links, in creation order — the topology, without
+    {!hop}s. *)
+
+val overload : t -> (Ninja_engine.Time.t * string) option
+(** Flow conservation, checked at every re-solve over the re-solved
+    links: the first time the rates the solver set on a link summed to
+    more than [capacity * (1 + 1e-6) + 1] B/s, with the sim time of that
+    solve and a description of the link and its load. [None] while every
+    solve has conserved flow. Only the first excess is kept. *)
 
 val link_name : link -> string
 

@@ -109,7 +109,7 @@ let transfer cluster ~src ~dst kind ~bytes =
             | None -> Calibration.virtio_bandwidth
           in
           let virtio_cap =
-            Fabric.add_link fabric ~name:(Vm.name src ^ ".virtio") ~capacity:nic_bw
+            Fabric.hop fabric ~name:(Vm.name src ^ ".virtio") ~capacity:nic_bw
           in
           let route = Cluster.route cluster ~net:Cluster.Eth ~src:src_host ~dst:dst_host in
           Fabric.transfer fabric ~route:(virtio_cap :: route) ~bytes)

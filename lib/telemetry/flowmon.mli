@@ -11,7 +11,7 @@
 
     A periodic tick fiber (every [period] sim-seconds) polls
     {!Ninja_flownet.Fabric.link_utilization} on every link (allocation
-    free, like the checker's conservation sweep) and the fabric's active
+    free) and the fabric's active
     flow count, pushing each series into a fixed {!Ring}. Inter-VM
     demand is sampled sFlow-style: a pair at [rate] B/s offers
     [rate*period/pkt_bytes] packets per tick, of which 1-in-[sample_rate]

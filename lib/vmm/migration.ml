@@ -65,7 +65,7 @@ let start_sender vm ~src ~dst ~transport =
   let cluster = Vm.cluster vm in
   let fabric = Cluster.fabric cluster in
   let sender_link =
-    Fabric.add_link fabric
+    Fabric.hop fabric
       ~name:(Printf.sprintf "%s.sender" (Vm.name vm))
       ~capacity:(sender_rate transport)
   in

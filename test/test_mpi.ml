@@ -169,6 +169,32 @@ let test_btl_selection_matrix () =
     [ Some "sm"; Some "openib"; Some "tcp" ]
     !transports
 
+(* The virtio NIC and the migration sender are private first hops, not
+   topology: a TCP exchange and a precopy migration must leave the
+   fabric's registered link list exactly as [Cluster.create] built it. *)
+let test_private_hops_not_registered () =
+  let sim, cluster, members = setup ~n_ib:0 ~n_eth:2 () in
+  let fabric = Cluster.fabric cluster in
+  let topology = List.length (Ninja_flownet.Fabric.links fabric) in
+  let transport = ref None in
+  let job =
+    Runtime.mpirun cluster ~members ~procs_per_vm:1 (fun ctx ->
+        if Mpi.rank ctx = 0 then begin
+          transport := Option.map Btl.kind_name (Mpi.current_transport ctx ~peer:1);
+          Mpi.send ctx ~dst:1 ~bytes:1e8
+        end
+        else ignore (Mpi.recv ctx ()))
+  in
+  let vm, _ = List.hd members in
+  Sim.spawn sim (fun () ->
+      Runtime.wait job;
+      ignore (Migration.migrate vm ~dst:(Cluster.find_node cluster "eth02") ()));
+  Sim.run sim;
+  Alcotest.(check (option string)) "exchange ran over tcp" (Some "tcp") !transport;
+  Alcotest.(check string) "migrated" "eth02" (Vm.host vm).Node.name;
+  Alcotest.(check int) "only topology links registered" topology
+    (List.length (Ninja_flownet.Fabric.links fabric))
+
 let test_exclusivity_ordering () =
   Alcotest.(check bool) "sm > openib" true (Btl.exclusivity Btl.Sm > Btl.exclusivity Btl.Openib);
   Alcotest.(check int) "openib" 1024 (Btl.exclusivity Btl.Openib);
@@ -752,6 +778,8 @@ let () =
         [
           Alcotest.test_case "selection matrix" `Quick test_btl_selection_matrix;
           Alcotest.test_case "exclusivity" `Quick test_exclusivity_ordering;
+          Alcotest.test_case "private hops not registered" `Quick
+            test_private_hops_not_registered;
           Alcotest.test_case "uncoordinated detach breaks" `Quick test_uncoordinated_detach_breaks_job;
         ] );
       ( "collectives",

@@ -235,7 +235,12 @@ let test_fuzz_hook () =
    built from the same generated topology, one per solver, and compare
    every live flow's rate after every operation. Flows carry far more
    bytes than could ever complete (the simulations never run), so the
-   sequence exercises pure re-rating. *)
+   sequence exercises pure re-rating. About one started flow in three
+   gets a private {!Fabric.hop} first hop, created on both fabrics in the
+   same order so link ids and freeze logs stay comparable. After every
+   step, both fabrics are also swept link by link for flow conservation
+   — an oracle for the check the solver runs itself, which must have
+   recorded no overload. *)
 let paired_sequence ~ops ~solver_b ~compare_logs prng =
   let topo = Topology.gen prng in
   let mk solver = Cluster.create (Sim.create ()) ~topology:topo ~solver () in
@@ -248,16 +253,34 @@ let paired_sequence ~ops ~solver_b ~compare_logs prng =
   let n = Array.length nodes_a in
   let live = ref [] in
   let failure = ref None in
+  let conserve step tag fabric hops =
+    List.iter
+      (fun l ->
+        let util = Fabric.link_utilization fabric l and cap = Fabric.link_capacity l in
+        if util > (cap *. (1.0 +. 1e-6)) +. 1.0 then
+          failure :=
+            Some
+              (Printf.sprintf "step %d: %s link %s carries %.17g over %.17g" step tag
+                 (Fabric.link_name l) util cap))
+      (Fabric.links fabric @ hops);
+    Option.iter
+      (fun (_, detail) ->
+        failure := Some (Printf.sprintf "step %d: %s overload: %s" step tag detail))
+      (Fabric.overload fabric)
+  in
   let check_step step =
     List.iter
-      (fun (x, y) ->
+      (fun (x, y, _) ->
         let ra = Fabric.rate x and rb = Fabric.rate y in
         if Float.abs (ra -. rb) > 1e-9 *. Float.max 1.0 (Float.abs rb) then
           failure :=
             Some (Printf.sprintf "step %d: incremental %.17g vs reference %.17g" step ra rb))
       !live;
     if compare_logs && Fabric.last_bottlenecks fa <> Fabric.last_bottlenecks fb then
-      failure := Some (Printf.sprintf "step %d: freeze logs diverge" step)
+      failure := Some (Printf.sprintf "step %d: freeze logs diverge" step);
+    let hops = List.filter_map (fun (_, _, h) -> h) !live in
+    conserve step "incremental" fa (List.map fst hops);
+    conserve step "reference" fb (List.map snd hops)
   in
   for step = 1 to ops do
     (match !failure with
@@ -276,13 +299,22 @@ let paired_sequence ~ops ~solver_b ~compare_logs prng =
           | None -> ( match attempt Cluster.Eth with Some r -> r | None -> assert false)
         in
         let bytes = 1e12 *. float_of_int (1 + Prng.int prng 8) in
-        let fx = Fabric.start fa ~route:(route ca nodes_a) ~bytes in
-        let fy = Fabric.start fb ~route:(route cb nodes_b) ~bytes in
-        live := (fx, fy) :: !live
+        let hop =
+          if Prng.int prng 3 = 0 then begin
+            let capacity = 1e8 *. float_of_int (1 + Prng.int prng 100) in
+            let ha = Fabric.hop fa ~name:"hop" ~capacity in
+            Some (ha, Fabric.hop fb ~name:"hop" ~capacity)
+          end
+          else None
+        in
+        let via h r = match h with Some h -> h :: r | None -> r in
+        let fx = Fabric.start fa ~route:(via (Option.map fst hop) (route ca nodes_a)) ~bytes in
+        let fy = Fabric.start fb ~route:(via (Option.map snd hop) (route cb nodes_b)) ~bytes in
+        live := (fx, fy, hop) :: !live
       end
       else if x < 85 then begin
         let i = Prng.int prng (List.length !live) in
-        let fx, fy = List.nth !live i in
+        let fx, fy, _ = List.nth !live i in
         live := List.filteri (fun j _ -> j <> i) !live;
         Fabric.cancel fa fx;
         Fabric.cancel fb fy
